@@ -116,14 +116,14 @@ func pickReachable(r *internetwork.Region, seed int64) int {
 	}
 	for _, p := range pairs {
 		b := p[0]
-		if b == r.Gateway || !r.Net.Reachable(b, r.Gateway) {
+		if b == r.Gateways[0] || !r.Net.Reachable(b, r.Gateways[0]) {
 			continue
 		}
-		if _, err := r.Net.PlanRoute(b, r.Gateway); err == nil {
+		if _, err := r.Net.PlanRoute(b, r.Gateways[0]); err == nil {
 			return b
 		}
 	}
-	return r.Gateway
+	return r.Gateways[0]
 }
 
 func must(err error) {

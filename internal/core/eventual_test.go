@@ -101,9 +101,9 @@ func TestRandomPairsTinyCity(t *testing.T) {
 // instant — delivers and acks the parked copy.
 func TestSendEventuallyHealsAfterRecovery(t *testing.T) {
 	n, src, dst, _ := corridorNetwork(t, 400, 300)
-	failed := map[int]bool{}
+	var failed sim.NodeSet
 	for _, ap := range n.Mesh.APsInBuilding(dst) {
-		failed[int(ap)] = true
+		failed = failed.Add(int(ap))
 	}
 	const recoverAt = 60.0
 	simCfg := sim.DefaultConfig()
@@ -166,9 +166,9 @@ func TestSendEventuallyStaysParkedWithoutRecovery(t *testing.T) {
 func TestSendEventuallyDeterministic(t *testing.T) {
 	run := func() EventualResult {
 		n, src, dst, _ := corridorNetwork(t, 400, 300)
-		failed := map[int]bool{}
+		var failed sim.NodeSet
 		for _, ap := range n.Mesh.APsInBuilding(dst) {
-			failed[int(ap)] = true
+			failed = failed.Add(int(ap))
 		}
 		simCfg := sim.DefaultConfig()
 		simCfg.Schedule = faults.Recovery(failed, 60)

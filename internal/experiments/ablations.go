@@ -329,9 +329,8 @@ func FailureInjection(cityName string, scale float64, seed int64, fracs []float6
 	eng := n.Engine()
 	rows := make([]AblationRow, 0, len(fracs))
 	for _, f := range fracs {
-		// The failure set is converted to a bitset once per fraction so the
-		// inner runs share one immutable NodeSet instead of a map each.
-		failed := sim.NodeSetFromMap(failSet(n.Mesh.NumAPs(), f, seed))
+		// One immutable failure set per fraction, shared by the inner runs.
+		failed := failSet(n.Mesh.NumAPs(), f, seed)
 		type outcome struct {
 			ran, delivered bool
 			bcasts         float64
@@ -380,13 +379,13 @@ func FailureInjection(cityName string, scale float64, seed int64, fracs []float6
 }
 
 // failSet deterministically marks a fraction of AP ids as failed.
-func failSet(numAPs int, frac float64, seed int64) map[int]bool {
+func failSet(numAPs int, frac float64, seed int64) sim.NodeSet {
 	if frac <= 0 {
 		return nil
 	}
 	// A multiplicative hash keeps the set stable per (seed, frac) without
 	// a full permutation.
-	out := make(map[int]bool, int(float64(numAPs)*frac))
+	out := sim.NewNodeSet(numAPs)
 	threshold := uint64(frac * float64(1<<32))
 	for i := 0; i < numAPs; i++ {
 		x := uint64(i)*0x9e3779b97f4a7c15 + uint64(seed)
@@ -394,7 +393,7 @@ func failSet(numAPs int, frac float64, seed int64) map[int]bool {
 		x *= 0xbf58476d1ce4e5b9
 		x ^= x >> 32
 		if x&0xffffffff < threshold {
-			out[i] = true
+			out = out.Add(i)
 		}
 	}
 	return out

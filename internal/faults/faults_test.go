@@ -40,11 +40,11 @@ func TestUniformDeterministic(t *testing.T) {
 	n, m := testMesh(t, 12)
 	a, _ := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.3, Seed: 42})
 	b, _ := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.3, Seed: 42})
-	if !reflect.DeepEqual(a.Failed, b.Failed) {
+	if !reflect.DeepEqual(a.FailedSet, b.FailedSet) {
 		t.Error("same seed produced different failure sets")
 	}
 	c, _ := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.3, Seed: 43})
-	if reflect.DeepEqual(a.Failed, c.Failed) {
+	if reflect.DeepEqual(a.FailedSet, c.FailedSet) {
 		t.Error("different seeds produced identical failure sets")
 	}
 }
@@ -63,13 +63,11 @@ func TestDiskIsSpatiallyCorrelated(t *testing.T) {
 	// (ties aside): the failure set is a disk.
 	center := n.City.Bounds.Center()
 	maxDead := 0.0
-	for ap := range inj.Failed {
-		if d := m.APs[ap].Pos.Dist(center); d > maxDead {
-			maxDead = d
-		}
-	}
+	inj.FailedSet.ForEach(func(ap int) {
+		maxDead = math.Max(maxDead, m.APs[ap].Pos.Dist(center))
+	})
 	for i := range m.APs {
-		if inj.Failed[i] {
+		if inj.FailedSet.Contains(i) {
 			continue
 		}
 		if d := m.APs[i].Pos.Dist(center); d < maxDead-1e-9 {
@@ -87,12 +85,13 @@ func TestDiskCustomCenter(t *testing.T) {
 	}
 	boundsCenter := n.City.Bounds.Center()
 	// The failure set must hug the corner, not the city center.
-	for ap := range inj.Failed {
-		if m.APs[ap].Pos.Dist(c) > m.APs[ap].Pos.Dist(boundsCenter) {
-			return // at least one AP closer to the corner: plausible disk
+	nearCorner := 0
+	inj.FailedSet.ForEach(func(ap int) {
+		if m.APs[ap].Pos.Dist(c) <= m.APs[ap].Pos.Dist(boundsCenter) {
+			nearCorner++
 		}
-	}
-	if inj.NumFailed() > 0 {
+	})
+	if inj.NumFailed() > 0 && nearCorner == 0 {
 		t.Error("corner-centered disk killed only center-hugging APs")
 	}
 }
@@ -114,8 +113,8 @@ func TestPolygonKillsOnlyInside(t *testing.T) {
 	}
 	for i := range m.APs {
 		in := half.Contains(m.APs[i].Pos)
-		if in != inj.Failed[i] {
-			t.Fatalf("AP %d inside=%v failed=%v", i, in, inj.Failed[i])
+		if in != inj.FailedSet.Contains(i) {
+			t.Fatalf("AP %d inside=%v failed=%v", i, in, inj.FailedSet.Contains(i))
 		}
 	}
 }
@@ -163,13 +162,11 @@ func TestFloodHugsTheRiver(t *testing.T) {
 		return best
 	}
 	maxDead := 0.0
-	for ap := range inj.Failed {
-		if d := distToWater(ap); d > maxDead {
-			maxDead = d
-		}
-	}
+	inj.FailedSet.ForEach(func(ap int) {
+		maxDead = math.Max(maxDead, distToWater(ap))
+	})
 	for i := range n.Mesh.APs {
-		if inj.Failed[i] {
+		if inj.FailedSet.Contains(i) {
 			continue
 		}
 		if d := distToWater(i); d < maxDead-1e-9 {
@@ -240,15 +237,18 @@ func TestApplyMergesIntoSimConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
-	cfg.FailedAPs = map[int]bool{999999: true}
-	inj.Apply(&cfg)
-	if !cfg.FailedAPs[999999] {
-		t.Error("Apply must merge, not replace")
+	cfg.FailedSet = cfg.FailedSet.Add(999999)
+	inj.ApplySet(&cfg)
+	if !cfg.FailedSet.Contains(999999) {
+		t.Error("ApplySet must merge, not replace")
 	}
-	for ap := range inj.Failed {
-		if !cfg.FailedAPs[ap] {
+	inj.FailedSet.ForEach(func(ap int) {
+		if !cfg.FailedSet.Contains(ap) {
 			t.Fatalf("AP %d not applied", ap)
 		}
+	})
+	if got, want := cfg.FailedSet.Len(), inj.NumFailed()+1; got != want {
+		t.Errorf("merged set has %d members, want %d", got, want)
 	}
 }
 
@@ -264,7 +264,7 @@ func TestInjectUnknownMode(t *testing.T) {
 }
 
 func TestRecoveryScheduleHealsAtInstant(t *testing.T) {
-	r := Recovery(map[int]bool{3: true, 7: true}, 5.0)
+	r := Recovery(sim.NodeSet(nil).Add(3).Add(7), 5.0)
 	if !r.Down(3, 0) || !r.Down(7, 4.999) {
 		t.Error("failed APs must be down before RecoverAt")
 	}
@@ -295,16 +295,18 @@ func TestWithRecoveryMovesStaticFailuresIntoSchedule(t *testing.T) {
 	if healed.Schedule == nil {
 		t.Fatal("WithRecovery must install a schedule")
 	}
-	var anyAP int
-	for ap := range inj.Failed {
-		anyAP = ap
-		break
-	}
-	if !healed.Schedule.Down(anyAP, 0) {
-		t.Error("failed AP must be down before recovery")
-	}
-	if healed.Schedule.Down(anyAP, 10) {
-		t.Error("failed AP must be up after recovery")
+	inj.FailedSet.ForEach(func(ap int) {
+		if !healed.Schedule.Down(ap, 0) {
+			t.Fatalf("failed AP %d must be down before recovery", ap)
+		}
+		if healed.Schedule.Down(ap, 10) {
+			t.Fatalf("failed AP %d must be up after recovery", ap)
+		}
+	})
+	// A hand-built injection carrying only a NodeSet heals the same way.
+	hand := Injection{FailedSet: sim.NodeSet(nil).Add(4)}.WithRecovery(2)
+	if hand.NumFailed() != 0 || !hand.Schedule.Down(4, 1.9) || hand.Schedule.Down(4, 2) {
+		t.Error("NodeSet-only injection did not move into a healing schedule")
 	}
 	// Churn injections heal too: the base schedule is muted after RecoverAt.
 	cinj, err := Inject(m, n.City, Config{Mode: ModeChurn, Frac: 0.5, Seed: 5, Horizon: 30})
@@ -320,7 +322,7 @@ func TestWithRecoveryMovesStaticFailuresIntoSchedule(t *testing.T) {
 }
 
 func TestOffsetScheduleShiftsClock(t *testing.T) {
-	r := Recovery(map[int]bool{1: true}, 5.0)
+	r := Recovery(sim.NodeSet(nil).Add(1), 5.0)
 	off := sim.OffsetSchedule{Base: r, Offset: 4.5}
 	if !off.Down(1, 0.2) {
 		t.Error("offset 4.5 + t 0.2 = 4.7 is before recovery; AP must be down")

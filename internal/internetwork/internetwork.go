@@ -45,15 +45,9 @@ type Region struct {
 	ID RegionID
 	// Net is the region's CityMesh deployment.
 	Net *core.Network
-	// Gateway is the primary gateway building (kept for compatibility —
-	// the flat predecessor of this package had exactly one). When Gateways
-	// is set it takes precedence and Gateway is rewritten to Gateways[0]
-	// at registration; when only Gateway is set, Gateways becomes
-	// [Gateway].
-	Gateway int
-	// Gateways lists every gateway building in failover priority order.
-	// All of a region's gateways share the region's long-haul links — a
-	// leg may exit through any live one.
+	// Gateways lists every gateway building in failover priority order;
+	// Gateways[0] is the primary. All of a region's gateways share the
+	// region's long-haul links — a leg may exit through any live one.
 	Gateways []int
 	// Pos is the region's anchor on the federation plane, in kilometers.
 	// It feeds the level-1 conduit geometry (hier.go); regions that never
@@ -141,8 +135,8 @@ func New() *Internetwork {
 	}
 }
 
-// AddRegion registers a region. Every gateway building must exist in the
-// region's city.
+// AddRegion registers a region. It needs at least one gateway, and every
+// gateway building must exist in the region's city.
 func (in *Internetwork) AddRegion(r *Region) error {
 	if r == nil || r.Net == nil {
 		return fmt.Errorf("internetwork: nil region")
@@ -151,9 +145,7 @@ func (in *Internetwork) AddRegion(r *Region) error {
 		return fmt.Errorf("internetwork: duplicate region %q", r.ID)
 	}
 	if len(r.Gateways) == 0 {
-		r.Gateways = []int{r.Gateway}
-	} else {
-		r.Gateway = r.Gateways[0]
+		return fmt.Errorf("internetwork: region %q has no gateway", r.ID)
 	}
 	seen := make(map[int]bool, len(r.Gateways))
 	for _, g := range r.Gateways {

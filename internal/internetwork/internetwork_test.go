@@ -110,6 +110,11 @@ func TestAddValidation(t *testing.T) {
 	if err := in.AddRegion(bad); err == nil {
 		t.Error("out-of-range gateway accepted")
 	}
+	none := region(t, "w", 217, 1)
+	none.Gateways = nil
+	if err := in.AddRegion(none); err == nil {
+		t.Error("region without a gateway accepted")
+	}
 	dup := region(t, "z", 216, 1)
 	dup.Gateways = []int{dup.Gateways[0], dup.Gateways[0]}
 	if err := in.AddRegion(dup); err == nil {
@@ -120,29 +125,6 @@ func TestAddValidation(t *testing.T) {
 	}
 	if err := in.AddLink(Link{A: "x", B: "x"}); err == nil {
 		t.Error("self link accepted")
-	}
-}
-
-func TestGatewayNormalization(t *testing.T) {
-	in := New()
-	// Gateways takes precedence and rewrites the legacy Gateway field.
-	r := region(t, "multi", 217, 3)
-	r.Gateway = 1 << 10 // garbage; must be overwritten by Gateways[0]
-	if err := in.AddRegion(r); err != nil {
-		t.Fatal(err)
-	}
-	if r.Gateway != r.Gateways[0] {
-		t.Errorf("Gateway = %d, want primary %d", r.Gateway, r.Gateways[0])
-	}
-	// Legacy single-Gateway regions get a one-entry Gateways list.
-	legacy := region(t, "legacy-src", 218, 1)
-	single := &Region{ID: "legacy", Net: legacy.Net, Gateway: legacy.Gateways[0]}
-	single.Gateways = nil
-	if err := in.AddRegion(single); err != nil {
-		t.Fatal(err)
-	}
-	if len(single.Gateways) != 1 || single.Gateways[0] != single.Gateway {
-		t.Errorf("Gateways = %v, want [%d]", single.Gateways, single.Gateway)
 	}
 }
 
@@ -412,12 +394,11 @@ func TestDeadPrimaryGatewayFailover(t *testing.T) {
 	in, ra, rb, _ := buildInternetwork(t)
 	g0, g1 := rb.Gateways[0], rb.Gateways[1]
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = map[int]bool{}
 	for _, ap := range rb.Net.Mesh.APsInBuilding(g0) {
-		simCfg.FailedAPs[int(ap)] = true
+		simCfg.FailedSet = simCfg.FailedSet.Add(int(ap))
 	}
 	// Source sits on boston's gateway so the boston leg is a passthrough
-	// and the FailedAPs indices only ever run against providence's mesh.
+	// and the FailedSet indices only ever run against providence's mesh.
 	dstB := pickRouted(t, rb)
 	res, err := in.Send(
 		Address{Region: "boston", Building: ra.Gateways[0]},

@@ -349,7 +349,7 @@ func (in *Internetwork) SendOpts(src, dst Address, payload []byte, simCfg sim.Co
 	// was not the region's primary.
 	countFailover := func(rIdx, gw int) {
 		r := in.regions[in.order[rIdx]]
-		if gw != r.Gateway {
+		if gw != r.Gateways[0] {
 			for _, g := range r.Gateways {
 				if g == gw {
 					out.GatewayFailovers++

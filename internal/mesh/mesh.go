@@ -144,7 +144,7 @@ func (m *Mesh) Neighbors(id int, fn func(other int)) {
 
 // Adjacency returns (building and caching) the AP adjacency lists. For
 // large meshes this is the dominant memory cost, so it is built lazily —
-// under sync.Once, because concurrent sim.Run calls over one Network all
+// under sync.Once, because concurrent Engine.Run calls over one Network all
 // land here on their first BFS.
 func (m *Mesh) Adjacency() [][]int32 {
 	m.adjOnce.Do(func() {

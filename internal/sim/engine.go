@@ -1,7 +1,7 @@
 // The reusable metro-scale simulation core.
 //
 // An Engine is constructed once per (mesh, city, policy) and amortizes
-// everything a single sim.Run used to rebuild per call: struct-of-arrays
+// everything a one-shot run would rebuild per call: struct-of-arrays
 // AP state (positions and building ids copied out of the mesh's
 // array-of-structs), the default radio model, and a pool of per-run
 // scratch — the seen/hops/ttl/lastArrival slices, the event-heap backing
@@ -129,13 +129,6 @@ type scratch struct {
 	rng *rand.Rand
 	ctx Context
 
-	// failed/black are the merged failure and blackhole sets consulted on
-	// the hot path. They alias the Config's NodeSets directly when no
-	// legacy map is present, or the reusable merge buffers below when one
-	// is (the map is folded in once per run, at reset).
-	failed, black       NodeSet
-	failedBuf, blackBuf NodeSet
-
 	seen        []bool
 	hops        []int
 	ttl         []int
@@ -253,9 +246,6 @@ func (s *scratch) reset(pol Policy, pkt *packet.Packet, cfg Config) {
 		s.gate = nil
 	}
 
-	s.failed = mergeSet(&s.failedBuf, cfg.FailedSet, cfg.FailedAPs)
-	s.black = mergeSet(&s.blackBuf, cfg.BlackholeSet, cfg.Blackholes)
-
 	s.res = Result{SourceAP: -1}
 }
 
@@ -267,33 +257,12 @@ func (s *scratch) release() {
 	s.pkt = nil
 	s.radio = nil
 	s.gate = nil
-	s.failed, s.black = nil, nil
 	for i := range s.forged {
 		s.forged[i] = forgedMsg{}
 	}
 	s.forged = s.forged[:0]
 	s.res = Result{}
 	s.ctx = Context{}
-}
-
-// mergeSet resolves the effective node set from the bitset and legacy map
-// forms of a Config field. With no map entries the Config's set is used
-// directly (zero copies); otherwise the map is folded into the reusable
-// buffer once, so repeated runs with legacy maps still allocate nothing.
-func mergeSet(buf *NodeSet, set NodeSet, legacy map[int]bool) NodeSet {
-	if len(legacy) == 0 {
-		return set
-	}
-	b := *buf
-	b.clearSet()
-	b = b.union(set)
-	for node, on := range legacy {
-		if on {
-			b = b.Add(node)
-		}
-	}
-	*buf = b
-	return b
 }
 
 // down folds the static failure set and the time-varying schedule. Mobile
@@ -303,7 +272,7 @@ func (s *scratch) down(node int, t float64) bool {
 	if node >= s.numAPs {
 		return false
 	}
-	if s.failed.Contains(node) {
+	if s.cfg.FailedSet.Contains(node) {
 		return true
 	}
 	return s.cfg.Schedule != nil && s.cfg.Schedule.Down(node, t)
@@ -386,10 +355,9 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// run executes the event loop. It mirrors the historical sim.Run exactly
-// — same defense-stack ordering, same forged-injection phase draws, same
-// jitter/radio/loss draw sequence — so a warm pooled run is byte-identical
-// to the free function it replaced.
+// run executes the event loop: a fixed defense-stack ordering,
+// forged-injection phase draws and jitter/radio/loss draw sequence, so a
+// warm pooled run is byte-identical to a cold one.
 func (s *scratch) run() Result {
 	e := s.eng
 	cfg := &s.cfg
@@ -541,7 +509,7 @@ func (s *scratch) deliver(ap, from int, t float64) {
 		res.Transcript[ap].ReceiveTime = t
 		res.Transcript[ap].Hops = s.hops[ap]
 	}
-	if s.black.Contains(ap) {
+	if s.cfg.BlackholeSet.Contains(ap) {
 		// Compromised node: consume silently; no delivery, no forward.
 		return
 	}
@@ -647,7 +615,7 @@ func (s *scratch) deliverForged(ap, from, msg int, t float64) {
 	remaining := senderTTL - 1
 	fm.ttl[ap] = remaining
 	res.ForgedAccepts++
-	if s.black.Contains(ap) || s.behavior(ap) == BehaviorBlackhole {
+	if s.cfg.BlackholeSet.Contains(ap) || s.behavior(ap) == BehaviorBlackhole {
 		return
 	}
 	if remaining <= 0 {

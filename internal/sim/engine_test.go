@@ -45,8 +45,7 @@ func engineConfigs(numAPs int) map[string]Config {
 	collide.CollisionWindow = 0.001
 
 	failed := DefaultConfig()
-	failed.FailedAPs = map[int]bool{2: true, 5: true}
-	failed.FailedSet = NewNodeSet(numAPs).Add(7).Add(11)
+	failed.FailedSet = NewNodeSet(numAPs).Add(2).Add(5).Add(7).Add(11)
 	failed.BlackholeSet = NewNodeSet(numAPs).Add(13)
 
 	adv := DefaultConfig()
@@ -108,25 +107,6 @@ func TestEngineWarmRunsMatchColdRuns(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesDeprecatedRun pins the compat wrapper to the engine:
-// both entry points must produce identical results.
-func TestEngineMatchesDeprecatedRun(t *testing.T) {
-	city, m := chainCity(12, 40)
-	cfg := DefaultConfig()
-	cfg.LossProb = 0.2
-	cfg.JitterMax = 0.01
-	cfg.RecordTranscript = true
-	cfg.Seed = 7
-	viaEngine, err := NewEngine(m, city, floodAll{}).Run(mkPacket(0, 11, 255), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRun := Run(m, city, floodAll{}, mkPacket(0, 11, 255), cfg)
-	if !reflect.DeepEqual(viaEngine, viaRun) {
-		t.Fatalf("Run and Engine.Run diverge:\n%+v\n%+v", viaEngine, viaRun)
-	}
-}
-
 // TestEngineRunAllocs pins the warm-path allocation budget on gridtown.
 // A warm Engine.Run with bitset failure sets and no transcript must not
 // allocate per run: scratch comes from the pool, the event heap backing
@@ -154,8 +134,7 @@ func TestEngineRunAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineRunErrors covers the typed-error contract the deprecated Run
-// sentinel hid.
+// TestEngineRunErrors covers Engine.Run's typed-error contract.
 func TestEngineRunErrors(t *testing.T) {
 	city, m := chainCity(4, 40)
 	eng := NewEngine(m, city, floodAll{})
@@ -171,10 +150,5 @@ func TestEngineRunErrors(t *testing.T) {
 	bad.LossProb = 1.5
 	if _, err := eng.Run(mkPacket(0, 1, 16), bad); err == nil {
 		t.Error("invalid config must error")
-	}
-
-	// The deprecated wrapper folds both into the legacy sentinel.
-	if res := Run(m, city, floodAll{}, mkPacket(99, 1, 16), DefaultConfig()); res.SourceAP != -1 {
-		t.Errorf("deprecated Run sentinel: SourceAP = %d, want -1", res.SourceAP)
 	}
 }

@@ -2,10 +2,10 @@ package sim
 
 import "math/bits"
 
-// NodeSet is a dense bitset over node (AP) indices — the allocation-free
-// replacement for the map[int]bool failure and blackhole sets. A nil
-// NodeSet is a valid empty set; Contains on any index (including negative
-// or out-of-range ones) is safe and returns false. Add grows the set as
+// NodeSet is a dense bitset over node (AP) indices: the simulator's one
+// representation of the failure and blackhole sets. A nil NodeSet is a
+// valid empty set; Contains on any index (including negative or
+// out-of-range ones) is safe and returns false. Add grows the set as
 // needed, so callers never size it by hand.
 //
 // At metro scale (10^5 APs) a NodeSet is ~12 KB against the megabytes a
@@ -19,18 +19,6 @@ func NewNodeSet(n int) NodeSet {
 		return nil
 	}
 	return make(NodeSet, (n+63)/64)
-}
-
-// NodeSetFromMap converts a legacy map[int]bool set (only true entries are
-// members). A nil or empty map yields a nil set.
-func NodeSetFromMap(m map[int]bool) NodeSet {
-	var s NodeSet
-	for node, on := range m {
-		if on {
-			s = s.Add(node)
-		}
-	}
-	return s
 }
 
 // Add sets bit i and returns the (possibly grown) set; negative indices
@@ -97,22 +85,4 @@ func (s NodeSet) Clone() NodeSet {
 	out := make(NodeSet, len(s))
 	copy(out, s)
 	return out
-}
-
-// clearSet zeroes the set in place, keeping capacity.
-func (s NodeSet) clearSet() {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// union folds src's members into s, growing as needed, and returns s.
-func (s NodeSet) union(src NodeSet) NodeSet {
-	for len(s) < len(src) {
-		s = append(s, 0)
-	}
-	for i, w := range src {
-		s[i] |= w
-	}
-	return s
 }

@@ -61,16 +61,7 @@ func TestNodeSetForEachAscending(t *testing.T) {
 	}
 }
 
-func TestNodeSetFromMapAndUnion(t *testing.T) {
-	m := map[int]bool{1: true, 5: true, 9: false}
-	s := NodeSetFromMap(m)
-	if !s.Contains(1) || !s.Contains(5) || s.Contains(9) {
-		t.Errorf("NodeSetFromMap = %v", s)
-	}
-	if NodeSetFromMap(nil) != nil {
-		t.Error("NodeSetFromMap(nil) should be nil")
-	}
-
+func TestNodeSetUnion(t *testing.T) {
 	a := NewNodeSet(10).Add(1).Add(2)
 	b := NewNodeSet(100).Add(2).Add(70)
 	u := a.Union(b)

@@ -30,16 +30,15 @@ var (
 	ErrBadDefense = errors.New("sim: Defense rates and radius must be >= 0")
 	// ErrNoSourceAP is returned by Engine.Run when the packet's source
 	// building is out of range or hosts no AP — there is nowhere to inject
-	// the packet, so nothing was simulated. The deprecated Run wrapper
-	// folds this into its historical SourceAP == -1 sentinel.
+	// the packet, so nothing was simulated.
 	ErrNoSourceAP = errors.New("sim: no AP in the packet's source building")
 )
 
 // Validate checks the physically meaningless configurations a caller can
 // construct: negative delays, probabilities outside [0, 1], a negative
 // event cap. Zero values are not errors — they select defaults (zero
-// MaxEvents becomes the 5M runaway guard inside Run), mirroring
-// core.ReliableConfig.Validate. Run validates internally; flag-driven
+// MaxEvents becomes the 5M runaway guard inside Engine.Run), mirroring
+// core.ReliableConfig.Validate. Engine.Run validates internally; flag-driven
 // callers validate up front to fail fast with a usable message.
 func (c Config) Validate() error {
 	if c.TxDelay < 0 {
