@@ -329,7 +329,6 @@ func FailureInjection(cityName string, scale float64, seed int64, fracs []float6
 	eng := n.Engine()
 	rows := make([]AblationRow, 0, len(fracs))
 	for _, f := range fracs {
-		// One immutable failure set per fraction, shared by the inner runs.
 		failed := failSet(n.Mesh.NumAPs(), f, seed)
 		type outcome struct {
 			ran, delivered bool

@@ -43,7 +43,6 @@ func goldenConfigs() map[string]RunConfig {
 func TestGoldenCSV(t *testing.T) {
 	cfgs := goldenConfigs()
 	for _, e := range Registry() {
-		e := e
 		t.Run(e.Name(), func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", e.Name()+".csv")
 			res, err := e.Run(cfgs[e.Name()])

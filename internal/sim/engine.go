@@ -5,8 +5,7 @@
 // AP state (positions and building ids copied out of the mesh's
 // array-of-structs), the default radio model, and a pool of per-run
 // scratch — the seen/hops/ttl/lastArrival slices, the event-heap backing
-// array, the RNG, and the failure/blackhole bitsets — reused across runs
-// instead of reallocated.
+// array and the RNG — reused across runs instead of reallocated.
 //
 // Determinism is unaffected by pooling: every run fully re-seeds the
 // pooled RNG from Config.Seed, every scratch slice is cleared (or, for
