@@ -13,7 +13,7 @@ import (
 // unbounded queue, so rebroadcast cascades neither recurse nor deadlock.
 type Hub struct {
 	agents []*Agent
-	adj    [][]int32
+	adj    mesh.CSR
 	failed func(ap int) bool // nil: every radio is alive
 
 	mu      sync.Mutex
@@ -133,7 +133,7 @@ func (t *hubTransport) Broadcast(frame []byte) error {
 	if h.closed {
 		return nil
 	}
-	for _, n := range h.adj[t.id] {
+	for _, n := range h.adj.Neighbors(t.id) {
 		if h.failed != nil && h.failed(int(n)) {
 			continue
 		}

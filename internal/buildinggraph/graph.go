@@ -96,9 +96,9 @@ func Build(city *osm.City, cfg Config) *Graph {
 	if cell <= 0 {
 		cell = 50
 	}
-	g.centroids = geo.NewGrid(cell)
+	centroids := make([]geo.Point, n)
 	for i, b := range city.Buildings {
-		g.centroids.Insert(b.Centroid)
+		centroids[i] = b.Centroid
 		r := 0.0
 		for _, v := range b.Footprint {
 			if d := v.Dist(b.Centroid); d > r {
@@ -110,6 +110,7 @@ func Build(city *osm.City, cfg Config) *Graph {
 			maxRadius = r
 		}
 	}
+	g.centroids = geo.NewGrid(cell, centroids)
 
 	for i := 0; i < n; i++ {
 		fpI := city.Buildings[i].Footprint

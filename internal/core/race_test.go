@@ -8,11 +8,11 @@ import (
 )
 
 // Concurrent Engine.Run calls share one Network — and with it the mesh's
-// lazily built adjacency, the flattened union-find, the atomic message-id
-// counter, and the lazily created parked store. This stress test drives
-// every one of those shared paths from many goroutines at once; it exists
-// to fail under `go test -race` if any of them regresses to unsynchronized
-// mutation.
+// pooled MinTransmissions scratch, the flattened union-find, the atomic
+// message-id counter, and the lazily created parked store. This stress
+// test drives every one of those shared paths from many goroutines at
+// once; it exists to fail under `go test -race` if any of them regresses
+// to unsynchronized mutation.
 func TestConcurrentSendsShareOneNetwork(t *testing.T) {
 	n := smallNetwork(t, 3)
 	pairs, err := n.RandomPairs(7, 16)

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"sort"
-	"sync"
 
 	"citymesh/internal/geo"
 )
@@ -149,19 +148,16 @@ func relayChain(from, to geo.Point, rng float64) []geo.Point {
 }
 
 // AddAPs inserts new relay APs (not inside any building; Building = -1) and
-// rebuilds connectivity. It returns the ids of the new APs.
+// rebuilds the grid, adjacency and union-find as Place does. It is a
+// build-time mutation that must not run concurrently with queries. It
+// returns the ids of the new APs.
 func (m *Mesh) AddAPs(positions []geo.Point) []int {
 	ids := make([]int, 0, len(positions))
 	for _, p := range positions {
 		id := len(m.APs)
 		m.APs = append(m.APs, AP{ID: id, Pos: p, Building: -1})
-		m.grid.Insert(p)
 		ids = append(ids, id)
 	}
-	// AddAPs is a build-time mutation (never concurrent with queries), so
-	// re-arming the lazy adjacency cache with a fresh Once is safe.
-	m.adjOnce = sync.Once{}
-	m.adj = nil
-	m.buildUnionFind()
+	m.link()
 	return ids
 }

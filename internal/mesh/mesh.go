@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"citymesh/internal/geo"
@@ -57,9 +58,23 @@ type Mesh struct {
 	// byBuilding lists AP ids per building.
 	byBuilding [][]int32
 	uf         *unionFind
-	adjOnce    sync.Once
-	adj        [][]int32
+	adj        CSR
+	// bfs pools MinTransmissions' per-call scratch, so concurrent callers
+	// each take their own and a warm call allocates nothing.
+	bfs sync.Pool
 }
+
+// CSR is the AP graph in compressed sparse row form: the neighbours of AP
+// v are Nbr[Off[v]:Off[v+1]], in the grid's visit order. It is built once
+// and read-only afterwards.
+type CSR struct {
+	Off []int32
+	Nbr []int32
+}
+
+// Neighbors returns the neighbours of AP v. The slice aliases the CSR and
+// must not be modified.
+func (c CSR) Neighbors(v int) []int32 { return c.Nbr[c.Off[v]:c.Off[v+1]] }
 
 // Place samples AP locations inside every building footprint via rejection
 // sampling in the footprint's bounding box. The expected AP count of a
@@ -75,9 +90,15 @@ func Place(city *osm.City, cfg Config) *Mesh {
 	m := &Mesh{
 		City:       city,
 		Cfg:        cfg,
-		grid:       geo.NewGrid(cfg.Range),
 		byBuilding: make([][]int32, len(city.Buildings)),
 	}
+	// A building gets at most max(floor(area*density)+1, MinPerBuilding)
+	// APs; reserving that bound spares copying APs at every append step.
+	bound := 0
+	for _, b := range city.Buildings {
+		bound += max(int(b.Footprint.Area()*cfg.Density)+1, cfg.MinPerBuilding)
+	}
+	m.APs = make([]AP, 0, bound)
 	for bi, b := range city.Buildings {
 		area := b.Footprint.Area()
 		n := int(math.Floor(area*cfg.Density + rng.Float64()))
@@ -92,11 +113,10 @@ func Place(city *osm.City, cfg Config) *Mesh {
 			}
 			id := len(m.APs)
 			m.APs = append(m.APs, AP{ID: id, Pos: p, Building: bi})
-			m.grid.Insert(p)
 			m.byBuilding[bi] = append(m.byBuilding[bi], int32(id))
 		}
 	}
-	m.buildUnionFind()
+	m.link()
 	return m
 }
 
@@ -131,51 +151,52 @@ func (m *Mesh) Grid() *geo.Grid { return m.grid }
 func (m *Mesh) APsInBuilding(b int) []int32 { return m.byBuilding[b] }
 
 // Neighbors calls fn for every AP within transmission range of AP id
-// (excluding itself).
+// (excluding itself), in the grid's visit order.
 func (m *Mesh) Neighbors(id int, fn func(other int)) {
-	pos := m.APs[id].Pos
-	m.grid.WithinRadius(pos, m.Cfg.Range, func(j int, _ geo.Point) bool {
-		if j != id {
-			fn(j)
-		}
-		return true
-	})
+	for _, j := range m.adj.Neighbors(id) {
+		fn(int(j))
+	}
 }
 
-// Adjacency returns (building and caching) the AP adjacency lists. For
-// large meshes this is the dominant memory cost, so it is built lazily —
-// under sync.Once, because concurrent Engine.Run calls over one Network all
-// land here on their first BFS.
-func (m *Mesh) Adjacency() [][]int32 {
-	m.adjOnce.Do(func() {
-		m.adj = make([][]int32, len(m.APs))
-		for i := range m.APs {
-			m.Neighbors(i, func(j int) {
-				m.adj[i] = append(m.adj[i], int32(j))
-			})
-		}
-	})
-	return m.adj
-}
+// Adjacency returns the AP graph. It is built with the mesh and shared by
+// every caller, so it must not be modified.
+func (m *Mesh) Adjacency() CSR { return m.adj }
 
 // NumLinks returns the number of undirected AP-AP links.
-func (m *Mesh) NumLinks() int {
-	n := 0
-	for _, a := range m.Adjacency() {
-		n += len(a)
-	}
-	return n / 2
-}
+func (m *Mesh) NumLinks() int { return len(m.adj.Nbr) / 2 }
 
-func (m *Mesh) buildUnionFind() {
-	m.uf = newUnionFind(len(m.APs))
-	for i := range m.APs {
-		m.Neighbors(i, func(j int) {
-			if j > i {
-				m.uf.union(i, j)
-			}
-		})
+// link indexes the AP positions in a grid and builds, in one neighbour
+// pass, both the CSR adjacency and the union-find. Pairs are met in the
+// grid's visit order, which fixes both the neighbour order and the
+// union-find's roots.
+func (m *Mesh) link() {
+	pos := make([]geo.Point, len(m.APs))
+	for i, ap := range m.APs {
+		pos[i] = ap.Pos
 	}
+	m.grid = geo.NewGrid(m.Cfg.Range, pos)
+	m.uf = newUnionFind(len(pos))
+	off := make([]int32, len(pos)+1)
+	var nbr []int32
+	for i, p := range pos {
+		m.grid.WithinRadius(p, m.Cfg.Range, func(j int, _ geo.Point) bool {
+			if j != i {
+				if len(nbr) == cap(nbr) {
+					// Reserve the mean degree so far times the APs left:
+					// a few copies of the array instead of one per 1.25x
+					// append step, which for a metro is 5x the final size.
+					nbr = slices.Grow(nbr, len(nbr)*(len(pos)-i)/(i+1)+len(pos)/16+16)
+				}
+				nbr = append(nbr, int32(j))
+				if j > i {
+					m.uf.union(i, j)
+				}
+			}
+			return true
+		})
+		off[i+1] = int32(len(nbr))
+	}
+	m.adj = CSR{Off: off, Nbr: nbr}
 	// Flatten every parent chain now so find() is a pure read afterwards.
 	// Path compression during queries would be a write race once parallel
 	// sweeps call Reachable concurrently.
@@ -217,38 +238,46 @@ func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 	if src < 0 || dst < 0 || src >= len(m.byBuilding) || dst >= len(m.byBuilding) {
 		return 0, fmt.Errorf("mesh: building out of range")
 	}
-	adj := m.Adjacency()
-	dist := make([]int32, len(m.APs))
-	for i := range dist {
-		dist[i] = -1
+	s, _ := m.bfs.Get().(*bfsScratch)
+	if s == nil || len(s.seen) != len(m.APs) {
+		s = &bfsScratch{seen: make([]uint32, len(m.APs)), queue: make([]int32, 0, len(m.APs))}
 	}
-	var queue []int32
-	for _, s := range m.byBuilding[src] {
-		dist[s] = 0
-		queue = append(queue, s)
+	defer m.bfs.Put(s)
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.seen)
+		s.epoch = 1
 	}
-	inDst := make(map[int32]bool, len(m.byBuilding[dst]))
-	for _, d := range m.byBuilding[dst] {
-		inDst[d] = true
-		if dist[d] == 0 {
-			return 0, nil // shared AP (shouldn't happen, but harmless)
-		}
+	q := s.queue[:0]
+	for _, a := range m.byBuilding[src] {
+		s.seen[a] = s.epoch
+		q = append(q, a)
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if dist[w] >= 0 {
-				continue
+	// Level-synchronous BFS: every AP queued in the pass that ends at end
+	// is hops-1 broadcasts from src, so its unseen neighbours are hops.
+	for head, hops := 0, 1; head < len(q); hops++ {
+		for end := len(q); head < end; head++ {
+			for _, w := range m.adj.Neighbors(int(q[head])) {
+				if s.seen[w] == s.epoch {
+					continue
+				}
+				if m.APs[w].Building == dst {
+					return hops, nil
+				}
+				s.seen[w] = s.epoch
+				q = append(q, w)
 			}
-			dist[w] = dist[v] + 1
-			if inDst[w] {
-				return int(dist[w]), nil
-			}
-			queue = append(queue, w)
 		}
 	}
 	return 0, ErrUnreachable
+}
+
+// bfsScratch is MinTransmissions' per-call state. An AP is seen in the
+// current call when seen[ap] == epoch, so a new call clears nothing.
+type bfsScratch struct {
+	seen  []uint32
+	epoch uint32
+	queue []int32 // capacity NumAPs: every AP is queued at most once
 }
 
 // unionFind is a weighted quick-union. Path compression happens only in
@@ -272,16 +301,8 @@ func newUnionFind(n int) *unionFind {
 // never write to parent.
 func (uf *unionFind) flatten() {
 	for i := range uf.parent {
-		uf.parent[i] = int32(uf.root(i))
+		uf.parent[i] = int32(uf.find(i))
 	}
-}
-
-func (uf *unionFind) root(x int) int {
-	p := int32(x)
-	for uf.parent[p] != p {
-		p = uf.parent[p]
-	}
-	return int(p)
 }
 
 func (uf *unionFind) find(x int) int {

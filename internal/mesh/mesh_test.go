@@ -1,7 +1,12 @@
 package mesh
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"citymesh/internal/citygen"
@@ -167,57 +172,148 @@ func TestMinTransmissionsUnreachable(t *testing.T) {
 	}
 }
 
-func TestMinTransmissionsMatchesBFSOnRandomMesh(t *testing.T) {
-	plan, err := citygen.Generate(citygen.SmallTestSpec(42))
+// refMinTransmissions is the map-based BFS MinTransmissions replaced.
+func refMinTransmissions(m *Mesh, src, dst int) (int, bool) {
+	if src == dst {
+		return 0, true
+	}
+	adj := m.Adjacency()
+	dist := make([]int, len(m.APs))
+	for i := range dist {
+		dist[i] = -1
+	}
+	var q []int32
+	for _, s := range m.byBuilding[src] {
+		dist[s] = 0
+		q = append(q, s)
+	}
+	inDst := map[int32]bool{}
+	for _, d := range m.byBuilding[dst] {
+		inDst[d] = true
+	}
+	for len(q) > 0 {
+		v := q[0]
+		q = q[1:]
+		for _, w := range adj.Neighbors(int(v)) {
+			if dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				if inDst[w] {
+					return dist[w], true
+				}
+				q = append(q, w)
+			}
+		}
+	}
+	return 0, false
+}
+
+// islandCity is a small generated city plus a far-off pair of buildings,
+// so random building pairs include unreachable ones.
+func islandCity(t testing.TB, seed int64) *osm.City {
+	plan, err := citygen.Generate(citygen.SmallTestSpec(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	city := planCity(plan)
+	far := squareCity(14, geo.Pt(3000, 3000), geo.Pt(3040, 3000))
+	city.Buildings = append(city.Buildings, far.Buildings...)
+	return city
+}
+
+func TestMinTransmissionsMatchesBFSOnRandomMesh(t *testing.T) {
+	city := islandCity(t, 42)
 	m := Place(city, DefaultConfig())
-	adj := m.Adjacency()
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 10; trial++ {
-		src := rng.Intn(city.NumBuildings())
-		dst := rng.Intn(city.NumBuildings())
+	n := city.NumBuildings()
+	var unreachable, self int
+	for trial := 0; trial < 200; trial++ {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		switch trial % 20 {
+		case 0:
+			dst = src
+		case 1:
+			src = n - 1 - rng.Intn(2) // on the far island
+		}
 		got, err := m.MinTransmissions(src, dst)
-		// Reference: plain BFS from all src APs.
-		dist := make([]int, len(m.APs))
-		for i := range dist {
-			dist[i] = -1
-		}
-		var q []int32
-		for _, s := range m.byBuilding[src] {
-			dist[s] = 0
-			q = append(q, s)
-		}
-		for len(q) > 0 {
-			v := q[0]
-			q = q[1:]
-			for _, w := range adj[v] {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					q = append(q, w)
-				}
-			}
-		}
-		want := -1
-		for _, d := range m.byBuilding[dst] {
-			if dist[d] >= 0 && (want < 0 || dist[d] < want) {
-				want = dist[d]
-			}
-		}
-		if src == dst {
-			want = 0
-		}
-		if err != nil {
-			if want >= 0 {
-				t.Fatalf("trial %d: got unreachable, BFS says %d", trial, want)
+		want, ok := refMinTransmissions(m, src, dst)
+		if !ok {
+			unreachable++
+			if err != ErrUnreachable {
+				t.Fatalf("%d->%d: got %d, %v; reference BFS says unreachable", src, dst, got, err)
 			}
 			continue
 		}
-		if got != want {
-			t.Fatalf("trial %d: MinTransmissions=%d BFS=%d", trial, got, want)
+		if src == dst {
+			self++
 		}
+		if err != nil || got != want {
+			t.Fatalf("%d->%d: MinTransmissions = %d, %v; reference BFS %d", src, dst, got, err, want)
+		}
+	}
+	if unreachable == 0 || self == 0 {
+		t.Fatalf("pairs cover %d unreachable and %d src == dst; want both", unreachable, self)
+	}
+}
+
+// raceEnabled is set under -race, where sync.Pool drops items at random
+// and allocation counts say nothing about the code.
+var raceEnabled bool
+
+func TestMinTransmissionsWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	m := Place(islandCity(t, 46), DefaultConfig())
+	n := len(m.byBuilding)
+	i := 0
+	_, _ = m.MinTransmissions(0, n-1)
+	allocs := testing.AllocsPerRun(100, func() {
+		_, _ = m.MinTransmissions(i%n, (i*13+7)%n)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("warm MinTransmissions: %v allocs/op, want 0", allocs)
+	}
+}
+
+func TestMinTransmissionsConcurrent(t *testing.T) {
+	city := islandCity(t, 47)
+	m := Place(city, DefaultConfig())
+	n := city.NumBuildings()
+	type pair struct{ src, dst, hops int }
+	rng := rand.New(rand.NewSource(5))
+	pairs := make([]pair, 64)
+	for i := range pairs {
+		p := pair{src: rng.Intn(n), dst: rng.Intn(n)}
+		var ok bool
+		if p.hops, ok = refMinTransmissions(m, p.src, p.dst); !ok {
+			p.hops = -1
+		}
+		pairs[i] = p
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 4*len(pairs); k++ {
+				p := pairs[(g*7+k)%len(pairs)]
+				got, err := m.MinTransmissions(p.src, p.dst)
+				if err != nil {
+					got = -1
+				}
+				if got != p.hops {
+					errs <- fmt.Errorf("goroutine %d: %d->%d = %d, want %d", g, p.src, p.dst, got, p.hops)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -227,23 +323,77 @@ func TestNeighborsSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Place(planCity(plan), DefaultConfig())
-	adj := m.Adjacency()
-	for i, ns := range adj {
-		for _, j := range ns {
+	for i := range m.APs {
+		m.Neighbors(i, func(j int) {
 			found := false
-			for _, k := range adj[j] {
-				if int(k) == i {
-					found = true
-					break
-				}
-			}
+			m.Neighbors(j, func(k int) { found = found || k == i })
 			if !found {
 				t.Fatalf("adjacency asymmetric: %d->%d", i, j)
 			}
-		}
+		})
 	}
 	if m.NumLinks() <= 0 {
 		t.Error("no links in a dense city")
+	}
+}
+
+// TestAdjacencyMatchesUnitDisk checks the CSR against brute force: AP v's
+// neighbours are exactly the other APs within range, listed in grid visit
+// order (range-sized cells cx ascending, then cy, then AP id). The CSR is
+// symmetric and has no self-loops.
+func TestAdjacencyMatchesUnitDisk(t *testing.T) {
+	m := Place(islandCity(t, 43), DefaultConfig())
+	r := m.Cfg.Range
+	cell := func(p geo.Point) [2]float64 {
+		return [2]float64{math.Floor(p.X * (1 / r)), math.Floor(p.Y * (1 / r))}
+	}
+	adj := m.Adjacency()
+	if len(adj.Off) != m.NumAPs()+1 {
+		t.Fatalf("len(Off) = %d, want %d", len(adj.Off), m.NumAPs()+1)
+	}
+	for v, ap := range m.APs {
+		var want []int32
+		for w, other := range m.APs {
+			if w != v && ap.Pos.Dist2(other.Pos) <= r*r {
+				want = append(want, int32(w))
+			}
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			ca, cb := cell(m.APs[want[a]].Pos), cell(m.APs[want[b]].Pos)
+			if ca[0] != cb[0] {
+				return ca[0] < cb[0]
+			}
+			return ca[1] < cb[1]
+		})
+		got := adj.Neighbors(v)
+		if !slices.Equal(got, want) {
+			t.Fatalf("AP %d neighbours %v, brute force in visit order %v", v, got, want)
+		}
+		for _, w := range got {
+			if int(w) == v {
+				t.Fatalf("AP %d lists itself", v)
+			}
+			if !slices.Contains(adj.Neighbors(int(w)), int32(v)) {
+				t.Fatalf("adjacency asymmetric: %d->%d", v, w)
+			}
+		}
+	}
+}
+
+func TestNumLinksGridtown(t *testing.T) {
+	spec, ok := citygen.Preset("gridtown")
+	if !ok {
+		t.Fatal("gridtown preset missing")
+	}
+	plan, err := citygen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Place(planCity(plan), DefaultConfig())
+	// Recorded from the hash-map grid and [][]int32 adjacency that the
+	// dense grid and CSR replaced.
+	if m.NumAPs() != 4811 || m.NumLinks() != 24961 {
+		t.Errorf("gridtown: %d APs, %d links; want 4811, 24961", m.NumAPs(), m.NumLinks())
 	}
 }
 
@@ -371,8 +521,8 @@ func BenchmarkMinTransmissions(b *testing.B) {
 	}
 	city := planCity(plan)
 	m := Place(city, DefaultConfig())
-	m.Adjacency()
 	n := city.NumBuildings()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = m.MinTransmissions(i%n, (i*13+7)%n)

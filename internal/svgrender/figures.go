@@ -58,8 +58,8 @@ func RenderMesh(w io.Writer, city *osm.City, m *mesh.Mesh, pxWidth int) error {
 		c.Polygon(f.Footprint, colorBuilding, "none", 0.5)
 	}
 	adj := m.Adjacency()
-	for i, ns := range adj {
-		for _, j := range ns {
+	for i := range m.APs {
+		for _, j := range adj.Neighbors(i) {
 			if int(j) > i {
 				c.Line(m.APs[i].Pos, m.APs[j].Pos, colorAPLink, 0.5)
 			}
