@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"citymesh/internal/fifo"
 	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
 	"citymesh/internal/osm"
@@ -25,7 +26,9 @@ import (
 // Transport delivers encoded frames from this agent to its radio neighbors.
 // Implementations must be safe for concurrent Broadcast calls.
 type Transport interface {
-	// Broadcast sends the frame to every neighbor.
+	// Broadcast sends the frame to every neighbor. The caller may reuse
+	// frame once Broadcast returns; receivers get the bytes read-only, as
+	// FrameHandler describes.
 	Broadcast(frame []byte) error
 	// Close releases transport resources.
 	Close() error
@@ -44,7 +47,7 @@ type Config struct {
 	City *osm.City
 	// DedupCap bounds the duplicate-suppression cache (number of message
 	// IDs remembered); 0 means DefaultDedupCap. APs run for months on
-	// 32 MB routers — the cache must not grow with traffic.
+	// 32 MB routers — the cache grows with traffic only up to this bound.
 	DedupCap int
 	// ConduitCacheCap bounds the forwarding kernel's per-message conduit
 	// cache; 0 means fwd.DefaultCacheCap, negative disables caching (every
@@ -79,48 +82,29 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// DefaultDedupCap is the default dedup cache bound: 64k message IDs is
-// ~1.5 MB of state, hours of city-scale traffic, yet fixed-size.
+// DefaultDedupCap is the default dedup cache bound: 64k message IDs, hours
+// of city-scale traffic. State grows with the distinct IDs seen, up to the
+// cap: an idle agent holds almost none, a saturated set about 2.9 MB.
 const DefaultDedupCap = 64 << 10
 
-// dedupSet is a FIFO-evicting set of message IDs. Oldest entries are
-// forgotten first once the capacity is reached, which matches the traffic
-// pattern: a duplicate of a message arrives within its flood wave, not
-// hours later.
-type dedupSet struct {
-	cap  int
-	set  map[uint64]struct{}
-	ring []uint64
-	next int // ring slot the next insertion overwrites
-}
-
-func newDedupSet(capacity int) *dedupSet {
+// newIDSet returns a dedup set of message IDs bounded at capacity (0 or
+// less means DefaultDedupCap). FIFO eviction matches the traffic pattern:
+// a duplicate of a message arrives within its flood wave, not hours later.
+func newIDSet(capacity int) *fifo.Map[uint64, struct{}] {
 	if capacity <= 0 {
 		capacity = DefaultDedupCap
 	}
-	return &dedupSet{
-		cap: capacity,
-		set: make(map[uint64]struct{}, capacity),
-	}
+	return fifo.New[uint64, struct{}](capacity)
 }
 
-// insert adds id and reports whether it was already present.
-func (d *dedupSet) insert(id uint64) (dup bool) {
-	if _, ok := d.set[id]; ok {
+// seenBefore records id in s and reports whether it was already present.
+func seenBefore(s *fifo.Map[uint64, struct{}], id uint64) (dup bool) {
+	if _, ok := s.Get(id); ok {
 		return true
 	}
-	if len(d.ring) < d.cap {
-		d.ring = append(d.ring, id)
-	} else {
-		delete(d.set, d.ring[d.next])
-		d.ring[d.next] = id
-		d.next = (d.next + 1) % d.cap
-	}
-	d.set[id] = struct{}{}
+	s.Put(id, struct{}{})
 	return false
 }
-
-func (d *dedupSet) len() int { return len(d.set) }
 
 // maxNeighborEntries bounds the last-seen neighbor table so forged beacon
 // sources cannot grow it without bound.
@@ -184,13 +168,14 @@ type Agent struct {
 	self fwd.Self
 
 	mu   sync.Mutex
-	seen *dedupSet
+	seen *fifo.Map[uint64, struct{}]
 	// pairSeen remembers (source, message ID) pairs. A correct neighbor
 	// broadcasts a given message at most once, so a repeat pair is a
 	// replayed frame (dropped, counted per cause), while the same message
 	// arriving from *different* neighbors stays a benign flood-overlap
-	// duplicate. Same FIFO bound as the dedup cache.
-	pairSeen  *dedupSet
+	// duplicate. Same FIFO bound as the dedup cache; it stays empty on
+	// transports that do not identify sources (the in-process hub).
+	pairSeen  *fifo.Map[uint64, struct{}]
 	stats     Stats
 	neighbors map[string]time.Time
 	// onDeliver fires when a packet for this agent's building arrives.
@@ -230,8 +215,8 @@ func New(cfg Config, tr Transport) *Agent {
 			StrictSanity: cfg.StrictSanity,
 		}),
 		self:      fwd.Self{Pos: cfg.Pos, Building: cfg.Building},
-		seen:      newDedupSet(cfg.DedupCap),
-		pairSeen:  newDedupSet(cfg.DedupCap),
+		seen:      newIDSet(cfg.DedupCap),
+		pairSeen:  newIDSet(cfg.DedupCap),
 		neighbors: make(map[string]time.Time),
 	}
 	if cfg.City != nil {
@@ -309,7 +294,7 @@ func (a *Agent) Inject(pkt *packet.Packet) error {
 	}
 	v := a.kernel.Decide(a.view, &pkt.Header, a.self, true)
 	a.mu.Lock()
-	a.seen.insert(pkt.Header.MsgID)
+	a.seen.Put(pkt.Header.MsgID, struct{}{})
 	a.stats.Rebroadcast++
 	a.mu.Unlock()
 	if v.Deliver {
@@ -329,10 +314,11 @@ func (a *Agent) HandleFrame(frame []byte) { a.HandleFrameFrom("", frame) }
 
 // HandleFrameFrom processes one received frame: budget-check, decode,
 // dedup, deliver or store, and rebroadcast when inside the conduit. It is
-// the Transport's receive callback. The frame is untrusted input; every
-// rejection increments a per-cause drop counter, and a panic anywhere in
-// the handling path is absorbed (counted in PanicsRecovered) so a hostile
-// frame can never kill the agent process.
+// the Transport's receive callback and treats frame as read-only (see
+// FrameHandler). The frame is untrusted input; every rejection increments
+// a per-cause drop counter, and a panic anywhere in the handling path is
+// absorbed (counted in PanicsRecovered) so a hostile frame can never kill
+// the agent process.
 func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -403,7 +389,7 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	// A repeat (source, message ID) pair is a replay: a correct neighbor
 	// broadcasts each message at most once. Checked before Received so a
 	// replay storm lands entirely in the drop partition.
-	if src != "" && a.pairSeen.insert(pairID(src, pkt.Header.MsgID)) {
+	if src != "" && seenBefore(a.pairSeen, pairID(src, pkt.Header.MsgID)) {
 		a.stats.Dropped++
 		a.stats.DroppedReplayed++
 		a.mu.Unlock()
@@ -413,7 +399,7 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	if src != "" {
 		a.noteNeighborLocked(src, now)
 	}
-	if a.seen.insert(pkt.Header.MsgID) {
+	if seenBefore(a.seen, pkt.Header.MsgID) {
 		a.stats.Duplicates++
 		a.mu.Unlock()
 		return

@@ -140,6 +140,57 @@ func TestHubAgentStatsAndDedup(t *testing.T) {
 	}
 }
 
+// TestHubKeptPayloadSurvivesLaterFrames pins the read-only shared-frame
+// contract: receivers share one copy of each broadcast, and a delivered
+// packet's Payload aliases it, so a callback that keeps the slice must
+// still read the same bytes after later floods pass through the hub.
+func TestHubKeptPayloadSurvivesLaterFrames(t *testing.T) {
+	n := testNetwork(t, 91)
+	hub := NewHub(n.Mesh, n.City)
+	defer hub.Close()
+	pkt := reachablePacket(t, n, 1)
+	srcAP := int(n.Mesh.APsInBuilding(pkt.Header.Src())[0])
+
+	var mu sync.Mutex
+	var kept [][]byte
+	for i := 0; i < hub.NumAgents(); i++ {
+		hub.Agent(i).OnDeliver(func(p *packet.Packet) {
+			if p.Header.MsgID == pkt.Header.MsgID {
+				mu.Lock()
+				kept = append(kept, p.Payload)
+				mu.Unlock()
+			}
+		})
+	}
+	first := append([]byte(nil), pkt.Payload...)
+	if err := hub.Agent(srcAP).Inject(pkt); err != nil {
+		t.Fatal(err)
+	}
+	hub.Flush()
+	for i := 0; i < 20; i++ {
+		later := pkt.Clone()
+		later.Header.MsgID = pkt.Header.MsgID + uint64(i) + 1
+		for j := range later.Payload {
+			later.Payload[j] = byte(i)
+		}
+		if err := hub.Agent(srcAP).Inject(later); err != nil {
+			t.Fatal(err)
+		}
+		hub.Flush()
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kept) == 0 {
+		t.Fatal("the first message was not delivered")
+	}
+	for _, p := range kept {
+		if string(p) != string(first) {
+			t.Fatalf("kept payload changed to %q, want %q", p, first)
+		}
+	}
+}
+
 func TestAgentPostboxStorage(t *testing.T) {
 	n := testNetwork(t, 93)
 	hub := NewHub(n.Mesh, n.City)

@@ -1,65 +1,74 @@
 package agent
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestDedupSetDetectsDuplicates(t *testing.T) {
-	d := newDedupSet(8)
-	if d.insert(42) {
-		t.Error("first insert must not be a duplicate")
+	a := New(Config{ID: 1, Building: -1, DedupCap: 8}, nil)
+	if seenBefore(a.seen, 42) {
+		t.Error("first sighting must not be a duplicate")
 	}
-	if !d.insert(42) {
-		t.Error("second insert must be a duplicate")
+	if !seenBefore(a.seen, 42) {
+		t.Error("second sighting must be a duplicate")
 	}
-	if d.len() != 1 {
-		t.Errorf("len = %d, want 1", d.len())
+	if n := a.seen.Len(); n != 1 {
+		t.Errorf("len = %d, want 1", n)
 	}
 }
 
 func TestDedupSetEvictsOldestFirst(t *testing.T) {
-	d := newDedupSet(4)
+	a := New(Config{ID: 1, Building: -1, DedupCap: 4}, nil)
 	for id := uint64(0); id < 4; id++ {
-		d.insert(id)
+		seenBefore(a.seen, id)
 	}
-	// Inserting a 5th evicts id 0 (FIFO), nothing else.
-	d.insert(100)
-	if d.len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", d.len())
+	// A 5th ID evicts id 0 (FIFO), nothing else.
+	seenBefore(a.seen, 100)
+	if n := a.seen.Len(); n != 4 {
+		t.Fatalf("len = %d, want capacity 4", n)
 	}
-	if !d.insert(1) || !d.insert(2) || !d.insert(3) {
+	if !seenBefore(a.seen, 1) || !seenBefore(a.seen, 2) || !seenBefore(a.seen, 3) {
 		t.Error("recent ids must survive the eviction")
 	}
-	if d.insert(0) {
+	if seenBefore(a.seen, 0) {
 		t.Error("id 0 should have been evicted, but was still seen")
 	}
 }
 
 func TestDedupSetStaysBounded(t *testing.T) {
 	const capacity = 64
-	d := newDedupSet(capacity)
+	a := New(Config{ID: 1, Building: -1, DedupCap: capacity}, nil)
 	for id := uint64(0); id < 10*capacity; id++ {
-		d.insert(id)
-		if d.len() > capacity {
-			t.Fatalf("cache grew to %d past capacity %d", d.len(), capacity)
-		}
-		if len(d.ring) > capacity {
-			t.Fatalf("ring grew to %d past capacity %d", len(d.ring), capacity)
+		seenBefore(a.seen, id)
+		if n := a.seen.Len(); n > capacity {
+			t.Fatalf("cache grew to %d past capacity %d", n, capacity)
 		}
 	}
-	if d.len() != capacity {
-		t.Errorf("steady-state len = %d, want %d", d.len(), capacity)
+	if n := a.seen.Len(); n != capacity {
+		t.Errorf("steady-state len = %d, want %d", n, capacity)
 	}
 	// The newest window is exactly what survives.
 	for id := uint64(10*capacity - capacity); id < 10*capacity; id++ {
-		if !d.insert(id) {
+		if !seenBefore(a.seen, id) {
 			t.Fatalf("id %d from the newest window was evicted", id)
 		}
 	}
 }
 
 func TestDedupSetZeroCapUsesDefault(t *testing.T) {
-	d := newDedupSet(0)
-	if d.cap != DefaultDedupCap {
-		t.Errorf("cap = %d, want default %d", d.cap, DefaultDedupCap)
+	a := New(Config{ID: 1, Building: -1}, nil)
+	for id := uint64(0); id < DefaultDedupCap; id++ {
+		if seenBefore(a.seen, id) {
+			t.Fatalf("id %d evicted before the default cap was reached", id)
+		}
+	}
+	seenBefore(a.seen, DefaultDedupCap)
+	if n := a.seen.Len(); n != DefaultDedupCap {
+		t.Fatalf("len = %d, want default cap %d", n, DefaultDedupCap)
+	}
+	if seenBefore(a.seen, 0) {
+		t.Error("the oldest id survived past the default cap")
 	}
 }
 
@@ -67,13 +76,31 @@ func TestAgentDedupConfigurable(t *testing.T) {
 	// A tiny cache: after capacity distinct messages, the first message is
 	// forgotten and counted as fresh again.
 	a := New(Config{ID: 1, Building: -1, DedupCap: 2}, nil)
-	if a.seen.cap != 2 {
-		t.Fatalf("agent cache cap = %d, want 2", a.seen.cap)
-	}
-	a.seen.insert(1)
-	a.seen.insert(2)
-	a.seen.insert(3) // evicts 1
-	if a.seen.insert(1) {
+	seenBefore(a.seen, 1)
+	seenBefore(a.seen, 2)
+	seenBefore(a.seen, 3) // evicts 1
+	if seenBefore(a.seen, 1) {
 		t.Error("evicted message should be treated as fresh")
 	}
+}
+
+// TestNewAgentAllocatesLittle pins that an agent's dedup and conduit caches
+// grow with traffic instead of being sized for their caps up front: a
+// freshly built agent is a few kilobytes, not megabytes, so a city of
+// agents fits a router's memory before it has carried any traffic.
+func TestNewAgentAllocatesLittle(t *testing.T) {
+	const agents, budget = 64, 64 << 10
+	keep := make([]*Agent, agents)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = New(Config{ID: i, Building: -1}, nil)
+	}
+	runtime.ReadMemStats(&after)
+	perAgent := (after.TotalAlloc - before.TotalAlloc) / agents
+	t.Logf("agent.New allocates %d bytes per agent", perAgent)
+	if perAgent > budget {
+		t.Errorf("agent.New allocates %d bytes per agent, budget %d", perAgent, budget)
+	}
+	runtime.KeepAlive(keep)
 }

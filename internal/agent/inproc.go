@@ -19,6 +19,7 @@ type Hub struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []delivery
+	head    int // next delivery to hand out; queue resets to [:0] once drained
 	closed  bool
 	pending int
 	idle    *sync.Cond
@@ -74,8 +75,14 @@ func (h *Hub) run() {
 			h.mu.Unlock()
 			return
 		}
-		d := h.queue[0]
-		h.queue = h.queue[1:]
+		// Walk the queue by index and rewind it once drained, so appends
+		// reuse one backing array instead of reallocating behind a
+		// re-sliced head. Clearing the slot lets a handled frame be freed.
+		d := h.queue[h.head]
+		h.queue[h.head] = delivery{}
+		if h.head++; h.head == len(h.queue) {
+			h.queue, h.head = h.queue[:0], 0
+		}
 		h.mu.Unlock()
 
 		h.agents[d.to].HandleFrame(d.frame)
@@ -133,12 +140,14 @@ func (t *hubTransport) Broadcast(frame []byte) error {
 	if h.closed {
 		return nil
 	}
+	// One copy per broadcast, shared by every receiver: the caller may
+	// reuse frame once Broadcast returns, while receivers only read it
+	// (FrameHandler's contract) and may keep slices of it.
+	f := append([]byte(nil), frame...)
 	for _, n := range h.adj.Neighbors(t.id) {
 		if h.failed != nil && h.failed(int(n)) {
 			continue
 		}
-		// Copy per receiver: agents may retain payload slices.
-		f := append([]byte(nil), frame...)
 		h.queue = append(h.queue, delivery{to: int(n), frame: f})
 		h.pending++
 	}

@@ -10,7 +10,10 @@ import (
 
 // FrameHandler receives one inbound frame. src is the sender's transport
 // address ("" when unknown); agents use it for per-source rate limiting
-// and the liveness table.
+// and the liveness table. The frame is read-only: a transport may hand the
+// same bytes to several handlers, and a handler may keep slices of it (a
+// decoded packet's Payload aliases the frame), so no transport reuses a
+// frame once handed out.
 type FrameHandler func(src string, frame []byte)
 
 // UDPTransport is a real-socket transport: each agent listens on a UDP
